@@ -111,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--cutoff-min", type=float, default=10.0)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="feature-engineering worker processes "
-        "(default: $REPRO_N_JOBS or 1; results are bit-identical)",
-    )
-    tr.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
@@ -316,9 +309,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"unusable --cache-dir: {exc}", file=sys.stderr)
         return 1
-    fm, runtime = build_feature_matrix(
-        jobs, cluster, config, n_jobs=args.n_jobs, cache=cache
-    )
+    fm, runtime = build_feature_matrix(jobs, cluster, config, cache=cache)
     if fm.cache_hit:
         print("feature matrix loaded from cache")
     elif fm.timings:
@@ -368,7 +359,31 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``trout hypothetical`` request flags → the job-record field each fills.
+_REQUEST_FIELDS = (
+    ("--cpus", "cpus", "req_cpus"),
+    ("--mem-gb", "mem_gb", "req_mem_gb"),
+    ("--nodes", "nodes", "req_nodes"),
+    ("--timelimit-min", "timelimit_min", "timelimit_min"),
+)
+
+
+def _invalid_request(args: argparse.Namespace) -> str | None:
+    """Why a hypothetical job's requested resources are unusable, if they are."""
+    for flag, attr, field in _REQUEST_FIELDS:
+        value = getattr(args, attr)
+        dtype = JOB_DTYPE[field]
+        top = np.iinfo(dtype).max if dtype.kind == "i" else np.inf
+        if not (0 < value <= top and np.isfinite(value)):
+            return f"{flag} must be a positive finite number, got {value}"
+    return None
+
+
 def _cmd_hypothetical(args: argparse.Namespace) -> int:
+    problem = _invalid_request(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 1
     model, runtime = _load_bundle(args.model)
     jobs = read_swf(args.trace)
     try:
@@ -395,7 +410,11 @@ def _cmd_hypothetical(args: argparse.Namespace) -> int:
     rec["timelimit_min"] = args.timelimit_min
     rec["priority"] = float(np.median(jobs.column("priority")))
     extended = jobs.concat(JobSet(rec, jobs.partition_names))
-    X = _featurise(extended, args.scale, runtime)
+    try:
+        X = _featurise(extended, args.scale, runtime)
+    except ValueError as exc:  # e.g. a request beyond the exact-sum range
+        print(f"cannot featurise the hypothetical job: {exc}", file=sys.stderr)
+        return 1
     msg = model.predict_messages(X[-1:])[0]
     print(
         f"hypothetical job ({args.partition}, {args.cpus} CPUs, "

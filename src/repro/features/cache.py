@@ -45,7 +45,7 @@ log = get_logger(__name__)
 
 #: Bump whenever the on-disk entry layout or the featurisation semantics
 #: change; older entries then read as misses and are recomputed.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def content_key(

@@ -3,9 +3,12 @@
 The paper's feature engineering needs, for every job's eligibility instant
 ``t``, the set of jobs whose pending interval ``[eligible, start)`` or run
 interval ``[start, end)`` contains ``t`` — millions of stabbing queries over
-millions of intervals.  The paper's solution, reproduced here, is interval
-trees built over chunks of 100 000 jobs with a 10 000-job overlap, queried
-independently and merged.
+millions of intervals.  The paper's solution is interval trees (built over
+chunks of 100 000 jobs with a 10 000-job overlap, then merged).  The
+feature pipeline no longer stabs: it needs only the sums over those sets,
+which :mod:`repro.features.snapshots` reads off prefix sums.  The
+unchunked tree stays as the A1 bench's reference for the paper's claim and
+as a test oracle, next to the naive O(n·m) scan.
 
 This implementation goes one step further than a textbook tree: stabbing
 queries are *batched*.  The query set is pushed down the tree as arrays, and
@@ -22,13 +25,9 @@ never match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from repro.utils.parallel import overlapping_chunks, parallel_map
-
-__all__ = ["IntervalTree", "ChunkedIntervalForest", "naive_stab_batch"]
+__all__ = ["IntervalTree", "naive_stab_batch"]
 
 
 @dataclass
@@ -312,117 +311,6 @@ def _emit(
     within = np.arange(total, dtype=np.intp) - offsets
     pair_q.append(np.repeat(qidx, counts))
     pair_i.append(ids_sorted[within])
-
-
-def _build_chunk_tree(
-    payload: tuple[np.ndarray, np.ndarray, int, int],
-) -> tuple[IntervalTree, tuple[float, float]]:
-    """Build one chunk's tree (+ live time span).  Module-level so process
-    pools can pickle it; deterministic given the chunk's slice alone."""
-    starts, ends, lo, hi = payload
-    ids = np.arange(lo, hi, dtype=np.int64)
-    tree = IntervalTree(starts, ends, ids=ids)
-    live = ends > starts
-    if np.any(live):
-        span = (float(starts[live].min()), float(ends[live].max()))
-    else:
-        span = (np.inf, -np.inf)
-    return tree, span
-
-
-def _chunk_label(payload: tuple[np.ndarray, np.ndarray, int, int]) -> str:
-    _, _, lo, hi = payload
-    return f"interval-tree chunk [{lo}, {hi})"
-
-
-class ChunkedIntervalForest:
-    """The paper's chunked interval-tree scheme.
-
-    Intervals are split (in the given order) into chunks of ``chunk_size``
-    with ``overlap`` shared between consecutive chunks — the paper used
-    100 000 and 10 000 — one tree per chunk.  Queries fan out to the trees
-    whose time span can contain the point and results are merged with
-    duplicates (from the overlap regions) removed, i.e. the trees are
-    "merged back together after finishing".
-
-    Chunking bounds per-tree build cost and, with ``n_jobs > 1``, fans the
-    chunk builds out across processes ("chunk builds proceed in parallel",
-    §V).  Each tree is a pure function of its own slice and the merged list
-    preserves chunk order, so parallel construction is bit-identical to
-    serial.  Overlap preserves matches for jobs straddling chunk edges when
-    the interval list is approximately time-ordered.
-    """
-
-    def __init__(
-        self,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        chunk_size: int = 100_000,
-        overlap: int = 10_000,
-        n_jobs: int | None = 1,
-    ) -> None:
-        starts = np.ascontiguousarray(starts, dtype=np.float64)
-        ends = np.ascontiguousarray(ends, dtype=np.float64)
-        if starts.shape != ends.shape or starts.ndim != 1:
-            raise ValueError("starts/ends must be equal-length 1-D arrays")
-        self.n_intervals = len(starts)
-        self.chunk_size = chunk_size
-        self.overlap = overlap
-        payloads = [
-            (starts[lo:hi], ends[lo:hi], lo, hi)
-            for lo, hi in overlapping_chunks(len(starts), chunk_size, overlap)
-        ]
-        built = parallel_map(
-            _build_chunk_tree, payloads, n_jobs=n_jobs, label=_chunk_label
-        )
-        self._trees: list[IntervalTree] = [tree for tree, _ in built]
-        self._spans: list[tuple[float, float]] = [span for _, span in built]
-
-    @property
-    def n_trees(self) -> int:
-        """Number of chunk trees."""
-        return len(self._trees)
-
-    def stab_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Merged batched stab over all chunk trees (CSR layout).
-
-        Matches are global positional indices, deduplicated per query and
-        sorted ascending within each query.
-        """
-        ts = np.ascontiguousarray(ts, dtype=np.float64)
-        m = len(ts)
-        all_q: list[np.ndarray] = []
-        all_i: list[np.ndarray] = []
-        for tree, (lo, hi) in zip(self._trees, self._spans):
-            sel = np.flatnonzero((ts >= lo) & (ts < hi))
-            if not len(sel):
-                continue
-            ids, indptr = tree.stab_ids_batch(ts[sel])
-            counts = np.diff(indptr)
-            if ids.size:
-                all_q.append(np.repeat(sel, counts))
-                all_i.append(ids)
-        if not all_q:
-            return np.zeros(0, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
-        qs = np.concatenate(all_q)
-        iv = np.concatenate(all_i)
-        # Deduplicate (query, interval) pairs introduced by chunk overlap.
-        order = np.lexsort((iv, qs))
-        qs = qs[order]
-        iv = iv[order]
-        keep = np.ones(len(qs), dtype=bool)
-        keep[1:] = (qs[1:] != qs[:-1]) | (iv[1:] != iv[:-1])
-        qs = qs[keep]
-        iv = iv[keep]
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.add.at(indptr, qs + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return iv, indptr
-
-    def stab(self, t: float) -> np.ndarray:
-        """Single-point stab returning global positional indices."""
-        iv, indptr = self.stab_batch(np.asarray([t], dtype=np.float64))
-        return iv[indptr[0] : indptr[1]]
 
 
 def naive_stab_batch(

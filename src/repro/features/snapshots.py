@@ -10,10 +10,17 @@ aggregate, within j's partition, over:
 summing jobs / CPUs / memory / nodes / timelimit (and, optionally, the
 runtime model's predictions).  The job itself is excluded from every set.
 
-Stabbing queries go through the paper's chunked interval trees
-(:class:`~repro.features.interval_tree.ChunkedIntervalForest`), one forest
-per (partition, interval kind); aggregation from the CSR match lists is a
-handful of ``bincount`` calls.
+The paper stabs interval trees for these sets; no set is needed, only its
+sums, so each partition is one sweep (DESIGN.md §6):
+
+- **queue / running** — a signed-event prefix sum: ``+w`` at ``eligible``
+  and ``−w`` at ``start`` (``start``/``end`` for running), read at ``t_j``
+  with a ``searchsorted``; the job's own row is then subtracted.
+- **ahead** — an offline 2-D dominance sum over (event time, priority
+  rank), one argsort/cumsum/searchsorted pass per bit of the rank.
+
+All sums run in exact int64 fixed point (:mod:`repro.features.fixed_point`),
+so a row depends on the set of jobs it sums only.
 """
 
 from __future__ import annotations
@@ -21,9 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import JobSet
-from repro.features.interval_tree import ChunkedIntervalForest
+from repro.features.fixed_point import from_fixed, to_fixed
 from repro.obs import tracing
-from repro.utils.parallel import parallel_map
 
 __all__ = ["partition_snapshots", "SNAPSHOT_KEYS"]
 
@@ -47,77 +53,95 @@ SNAPSHOT_KEYS: tuple[str, ...] = (
     "par_running_pred_timelimit",
 )
 
-
-def _aggregate(
-    qids: np.ndarray,
-    matches: np.ndarray,
-    m: int,
-    values: dict[str, np.ndarray],
-    prefix: str,
-    out: dict[str, np.ndarray],
-) -> None:
-    """bincount-accumulate the matched jobs' attributes per query."""
-    out[f"par_jobs_{prefix}"] += np.bincount(qids, minlength=m).astype(np.float64)
-    for key, vals in values.items():
-        out[f"par_{key}_{prefix}"] += np.bincount(
-            qids, weights=vals[matches], minlength=m
-        )
+#: Output names of the summed columns, in limb order; the runtime
+#: prediction's two limbs come last (summed for queue and running only).
+_SUMMED = ("jobs", "cpus", "mem", "nodes", "timelimit")
 
 
-def _partition_worker(
-    payload: tuple,
-) -> tuple[dict[str, np.ndarray], "tracing.Span"]:
-    """All aggregates for one partition's job slice, plus its span record.
+def _open_at(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Limb sums over the half-open intervals ``[lo, hi)`` containing each
+    of ``ts``: the prefix sum of ``+w`` at ``lo`` and ``−w`` at ``hi``."""
+    times = np.concatenate([lo, np.maximum(lo, hi)])  # inverted = empty
+    order = np.argsort(times, kind="stable")
+    csum = np.zeros((len(times) + 1, w.shape[1]), dtype=np.int64)
+    np.cumsum(np.concatenate([w, -w])[order], axis=0, out=csum[1:])
+    return csum[np.searchsorted(times[order], ts, side="right")]
 
-    Module-level (picklable) and a pure function of its slice, so results
-    are identical whether it runs in-process or in a worker.  The span is
-    built locally (each worker process has a fresh tracer) and shipped
-    back pickled so the parent can graft it into its own trace tree.
+
+def _dominance(
+    x: np.ndarray, prio: np.ndarray, w: np.ndarray, ts: np.ndarray, qprio: np.ndarray
+) -> np.ndarray:
+    """Per query ``k``: limb sum of ``w[i]`` over ``x[i] ≤ ts[k]`` and
+    ``prio[i] > qprio[k]``.
+
+    Rank the items by descending priority; the items above a query are
+    the ranks ``< R``.  Each set bit ``b`` of ``R`` contributes the block
+    of ranks sharing ``R``'s higher bits with bit ``b`` clear — one group
+    of ``rank >> b`` — so one pass per bit sorts by (group, time), takes a
+    cumsum and reads each query's group prefix with two searchsorteds.
     """
-    (p, elig, start, end, prio, values, pred, chunk_size, overlap, inner) = payload
-    m = len(elig)
-
-    with tracing.Tracer(retain=False).span(
-        f"partition[{p}]", rows=m
-    ) as rec:
-        # --- pending intervals [eligible, start) ------------------------ #
-        pend = ChunkedIntervalForest(elig, start, chunk_size, overlap, n_jobs=inner)
-        iv, indptr = pend.stab_batch(elig)
-        qids = np.repeat(np.arange(m), np.diff(indptr))
-        not_self = iv != qids
-        qq, mi = qids[not_self], iv[not_self]
-        sub = {k: np.zeros(m) for k in SNAPSHOT_KEYS}
-        _aggregate(qq, mi, m, values, "queue", sub)
-        sub["par_queue_pred_timelimit"] += np.bincount(
-            qq, weights=pred[mi], minlength=m
+    n = len(x)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-prio, kind="stable")] = np.arange(n)
+    above = n - np.searchsorted(np.sort(prio), qprio, side="right")
+    by_time = np.argsort(x, kind="stable")
+    tpos = np.empty(n, dtype=np.int64)
+    tpos[by_time] = np.arange(n)
+    qpos = np.searchsorted(x[by_time], ts, side="right")
+    out = np.zeros((len(ts), w.shape[1]), dtype=np.int64)
+    csum = np.zeros((n + 1, w.shape[1]), dtype=np.int64)
+    for b in range(n.bit_length()):
+        sel = np.flatnonzero((above >> b) & 1)
+        if not len(sel):
+            continue
+        key = (rank >> b) * n + tpos
+        order = np.argsort(key)
+        key = key[order]
+        np.cumsum(w[order], axis=0, out=csum[1:])
+        base = ((above[sel] >> b) - 1) * n
+        out[sel] += (
+            csum[np.searchsorted(key, base + qpos[sel])]
+            - csum[np.searchsorted(key, base)]
         )
-        # "Ahead": strictly higher priority among the pending set.
-        ahead = prio[mi] > prio[qq]
-        _aggregate(qq[ahead], mi[ahead], m, values, "ahead", sub)
-
-        # --- running intervals [start, end) ----------------------------- #
-        runf = ChunkedIntervalForest(start, end, chunk_size, overlap, n_jobs=inner)
-        iv, indptr = runf.stab_batch(elig)
-        qids = np.repeat(np.arange(m), np.diff(indptr))
-        not_self = iv != qids
-        qq, mi = qids[not_self], iv[not_self]
-        _aggregate(qq, mi, m, values, "running", sub)
-        sub["par_running_pred_timelimit"] += np.bincount(
-            qq, weights=pred[mi], minlength=m
-        )
-    return sub, rec
+    return out
 
 
-def _partition_label(payload: tuple) -> str:
-    return f"partition {payload[0]} snapshot ({len(payload[1])} jobs)"
+def _partition_sweep(
+    elig: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+    prio: np.ndarray,
+    w: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """All aggregates for one partition, from its ``(m, 12)`` value limbs."""
+    queue = _open_at(elig, start, w, elig)
+    queue -= w * (elig < start)[:, None]
+    running = _open_at(start, end, w, elig)
+    running -= w * ((start <= elig) & (elig < end))[:, None]
+    # Only jobs with start > eligible are ever pending; the job itself is
+    # never strictly above its own priority.
+    cand = np.flatnonzero(elig < start)
+    wa = w[cand, :-2]  # "ahead" has no predicted-runtime column
+    ahead = _dominance(
+        np.concatenate([elig[cand], start[cand]]),
+        np.concatenate([prio[cand], prio[cand]]),
+        np.concatenate([wa, -wa]),
+        elig,
+        prio,
+    )
+    sums = {"ahead": from_fixed(ahead), "queue": from_fixed(queue), "running": from_fixed(running)}
+    out: dict[str, np.ndarray] = {}
+    for kind, s in sums.items():
+        for c, value in enumerate(_SUMMED):
+            out[f"par_{value}_{kind}"] = s[:, c]
+    out["par_queue_pred_timelimit"] = sums["queue"][:, 5]
+    out["par_running_pred_timelimit"] = sums["running"][:, 5]
+    return out
 
 
 def partition_snapshots(
     jobs: JobSet,
     pred_runtime_min: np.ndarray | None = None,
-    chunk_size: int = 100_000,
-    overlap: int = 10_000,
-    n_jobs: int | None = 1,
 ) -> dict[str, np.ndarray]:
     """Compute all partition-state aggregates for an eligibility-ordered trace.
 
@@ -131,22 +155,24 @@ def partition_snapshots(
         ``par_queue_pred_timelimit`` / ``par_running_pred_timelimit``
         features.  ``None`` falls back to the requested timelimit (the
         scheduler's own assumption).
-    chunk_size, overlap:
-        Interval-tree chunking (paper: 100 000 / 10 000).
-    n_jobs:
-        Worker processes.  With several partitions the fan-out is one task
-        per partition (chunk builds stay serial inside each worker); with a
-        single partition it is pushed down to the chunk-tree builds.  Both
-        placements merge in deterministic order, so any ``n_jobs`` yields a
-        bit-identical result.
 
     Returns
     -------
     Mapping of :data:`SNAPSHOT_KEYS` to ``(n_jobs,)`` arrays, aligned with
     the input order.
+
+    Raises
+    ------
+    ValueError
+        For a NaN time or priority, or a summed value that is non-finite,
+        negative, or whose partition total is beyond the exact fixed-point
+        range (the message names the column).
     """
     n = len(jobs)
     rec = jobs.records
+    for name in ("eligible_time", "start_time", "end_time", "priority"):
+        if np.isnan(rec[name]).any():  # would silently mis-sort the sweep
+            raise ValueError(f"{name}: NaN in a snapshot ordering column")
     if pred_runtime_min is None:
         pred_runtime_min = rec["timelimit_min"].astype(np.float64)
     else:
@@ -154,40 +180,26 @@ def partition_snapshots(
         if pred_runtime_min.shape != (n,):
             raise ValueError("pred_runtime_min must have one value per job")
 
-    out: dict[str, np.ndarray] = {k: np.zeros(n) for k in SNAPSHOT_KEYS}
-    values_all = {
-        "cpus": rec["req_cpus"].astype(np.float64),
-        "mem": rec["req_mem_gb"].astype(np.float64),
-        "nodes": rec["req_nodes"].astype(np.float64),
-        "timelimit": rec["timelimit_min"].astype(np.float64),
+    values = {
+        "jobs": np.ones(n),
+        "req_cpus": rec["req_cpus"],
+        "req_mem_gb": rec["req_mem_gb"],
+        "req_nodes": rec["req_nodes"],
+        "timelimit_min": rec["timelimit_min"],
+        "pred_runtime_min": pred_runtime_min,
     }
-
-    partitions = np.unique(rec["partition"])
-    # One level of process parallelism only: across partitions when there
-    # are several (the common case), else across chunk-tree builds.
-    outer = n_jobs if len(partitions) > 1 else 1
-    inner = 1 if len(partitions) > 1 else n_jobs
-    groups = [np.flatnonzero(rec["partition"] == p) for p in partitions]
-    payloads = [
-        (
-            int(p),
-            rec["eligible_time"][g],
-            rec["start_time"][g],
-            rec["end_time"][g],
-            rec["priority"][g],
-            {k: v[g] for k, v in values_all.items()},
-            pred_runtime_min[g],
-            chunk_size,
-            overlap,
-            inner,
-        )
-        for p, g in zip(partitions, groups)
-    ]
-    results = parallel_map(
-        _partition_worker, payloads, n_jobs=outer, label=_partition_label
-    )
-    for g, (sub, rec) in zip(groups, results):
-        tracing.attach(rec)  # graft worker span under the caller's span
+    out: dict[str, np.ndarray] = {k: np.zeros(n) for k in SNAPSHOT_KEYS}
+    for p in np.unique(rec["partition"]):
+        g = np.flatnonzero(rec["partition"] == p)
+        with tracing.span(f"partition[{p}]", rows=len(g)):
+            w = to_fixed({f"{k} (partition {p})": v[g] for k, v in values.items()})
+            sub = _partition_sweep(
+                rec["eligible_time"][g],
+                rec["start_time"][g],
+                rec["end_time"][g],
+                rec["priority"][g],
+                w,
+            )
         for k in SNAPSHOT_KEYS:
             out[k][g] = sub[k]
     return out

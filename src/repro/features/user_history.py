@@ -7,7 +7,9 @@ relating to users and their history").
 
 Computed per user with prefix sums over the user's submit-time-sorted jobs:
 the past-day window at any instant is a ``searchsorted`` pair, so the whole
-block is O(n log n).
+block is O(n log n).  The sums are exact fixed point
+(:mod:`repro.features.fixed_point`): a user with no other job in the window
+reads exactly 0.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import JobSet
+from repro.features.fixed_point import from_fixed, to_fixed
 
 __all__ = ["user_past_day", "USER_KEYS", "PAST_DAY_S"]
 
@@ -30,7 +33,7 @@ USER_KEYS: tuple[str, ...] = (
 
 
 def user_past_day(jobs: JobSet, window_s: float = PAST_DAY_S) -> dict[str, np.ndarray]:
-    """Aggregates over each user's submissions in ``[t − window, t)``.
+    """Aggregates over each user's submissions in ``[t − window, t]``.
 
     ``t`` is the job's eligibility instant; the job's own submission is
     inside its window when ``submit > eligible − window`` (it always is for
@@ -44,33 +47,34 @@ def user_past_day(jobs: JobSet, window_s: float = PAST_DAY_S) -> dict[str, np.nd
         raise ValueError(f"window_s must be positive, got {window_s}")
     rec = jobs.records
     n = len(jobs)
-    out = {k: np.zeros(n) for k in USER_KEYS}
-    values = {
-        "cpus": rec["req_cpus"].astype(np.float64),
-        "mem": rec["req_mem_gb"].astype(np.float64),
-        "nodes": rec["req_nodes"].astype(np.float64),
-        "timelimit": rec["timelimit_min"].astype(np.float64),
-    }
-    for user in np.unique(rec["user_id"]):
-        g = np.flatnonzero(rec["user_id"] == user)
-        submit = rec["submit_time"][g]
-        elig = rec["eligible_time"][g]
-        order = np.argsort(submit, kind="stable")
-        submit_sorted = submit[order]
-        # Prefix sums over the user's jobs in submit order; window bounds
-        # found with two binary searches per query.
-        lo = np.searchsorted(submit_sorted, elig - window_s, side="left")
-        hi = np.searchsorted(submit_sorted, elig, side="right")
-        span = (hi - lo).astype(np.float64)
-        # Exclude the job's own submission when it falls in its window.
-        pos = np.empty(len(g), dtype=np.intp)
-        pos[order] = np.arange(len(g))
-        own_in = (pos >= lo) & (pos < hi)
-        out["user_jobs_past_day"][g] = span - own_in
-        for key, vals in values.items():
-            v_sorted = vals[g][order]
-            csum = np.concatenate([[0.0], np.cumsum(v_sorted)])
-            sums = csum[hi] - csum[lo]
-            sums -= np.where(own_in, vals[g], 0.0)
-            out[f"user_{key}_past_day"][g] = sums
+    out = {k: np.empty(n) for k in USER_KEYS}
+    limbs = to_fixed(
+        {
+            "jobs": np.ones(n),
+            "req_cpus": rec["req_cpus"],
+            "req_mem_gb": rec["req_mem_gb"],
+            "req_nodes": rec["req_nodes"],
+            "timelimit_min": rec["timelimit_min"],
+        }
+    )
+    # Every user's jobs in submit order, users one after another (lexsort
+    # is stable, so equal submit times keep trace order).
+    order = np.lexsort((rec["submit_time"], rec["user_id"]))
+    submit = rec["submit_time"][order]
+    elig = rec["eligible_time"][order]
+    cuts = np.flatnonzero(np.diff(rec["user_id"][order])) + 1
+    lo = np.empty(n, dtype=np.intp)
+    hi = np.empty(n, dtype=np.intp)
+    # Window bounds within each user's run: two binary searches per job.
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, n]):
+        lo[a:b] = a + np.searchsorted(submit[a:b], elig[a:b] - window_s, side="left")
+        hi[a:b] = a + np.searchsorted(submit[a:b], elig[a:b], side="right")
+    csum = np.zeros((n + 1, limbs.shape[1]), dtype=np.int64)
+    np.cumsum(limbs[order], axis=0, out=csum[1:])
+    sums = csum[hi] - csum[lo]
+    # Exclude the job's own submission when it falls in its window.
+    pos = np.arange(n)
+    sums -= limbs[order] * ((pos >= lo) & (pos < hi))[:, None]
+    for key, col in zip(USER_KEYS, from_fixed(sums).T):
+        out[key][order] = col
     return out

@@ -51,9 +51,8 @@ TREE_METHODS = ("hist", "exact")
 def resolve_tree_method(method: str | None) -> str:
     """``None`` defers to the ``REPRO_TREE_METHOD`` env knob (default ``hist``).
 
-    Mirrors ``repro.features.pipeline.resolve_n_jobs``: CI runs the whole
-    suite once per method by exporting the variable, and explicit arguments
-    always win over the environment.
+    CI runs the whole suite once per method by exporting the variable, and
+    explicit arguments always win over the environment.
     """
     if method is None:
         method = os.environ.get("REPRO_TREE_METHOD", "hist")

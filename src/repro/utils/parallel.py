@@ -1,7 +1,7 @@
 """Process-level parallelism helpers.
 
-The library's embarrassingly parallel stages (forest training, chunked
-interval-tree construction, HPO trials) fan out through
+The library's embarrassingly parallel stages (forest training, HPO trials)
+fan out through
 :func:`parallel_map`, which degrades gracefully to a serial loop when
 ``n_jobs == 1`` or when the workload is too small to amortise process
 startup.  Results are returned in input order regardless of completion
@@ -22,7 +22,6 @@ __all__ = [
     "parallel_map",
     "chunk_indices",
     "effective_n_jobs",
-    "overlapping_chunks",
 ]
 
 T = TypeVar("T")
@@ -147,30 +146,3 @@ def chunk_indices(n: int, n_chunks: int) -> list[np.ndarray]:
     bounds = np.linspace(0, n, min(n_chunks, max(n, 1)) + 1).astype(np.intp)
     return [np.arange(lo, hi, dtype=np.intp) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-
-def overlapping_chunks(
-    n: int, chunk_size: int, overlap: int
-) -> list[tuple[int, int]]:
-    """Half-open ``[start, stop)`` windows of ``chunk_size`` with ``overlap``.
-
-    This is the decomposition the paper uses for interval-tree construction:
-    "groupings of 100,000 jobs with an overlap of 10,000 jobs between trees".
-    Consecutive windows advance by ``chunk_size - overlap`` and the final
-    window is clipped to ``n``.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if not 0 <= overlap < chunk_size:
-        raise ValueError(f"overlap must be in [0, chunk_size), got {overlap}")
-    if n <= 0:
-        return []
-    step = chunk_size - overlap
-    out: list[tuple[int, int]] = []
-    start = 0
-    while True:
-        stop = min(start + chunk_size, n)
-        out.append((start, stop))
-        if stop >= n:
-            break
-        start += step
-    return out

@@ -116,6 +116,38 @@ def test_hypothetical_job(workspace, capsys):
     assert "Predicted to" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--mem-gb", "nan"),
+        ("--mem-gb", "inf"),
+        ("--mem-gb", "-5"),
+        ("--timelimit-min", "0"),
+        ("--timelimit-min", "-inf"),
+        ("--cpus", "0"),
+        ("--nodes", "-1"),
+        ("--cpus", str(2**40)),
+        ("--nodes", str(2**70)),
+    ],
+)
+def test_hypothetical_rejects_unusable_request(workspace, capsys, flag, value):
+    trace, model = workspace
+    rc = main(["hypothetical", "--model", str(model), "--trace", str(trace),
+               f"{flag}={value}"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and "positive finite" in captured.err
+    assert "Predicted" not in captured.out
+
+
+def test_hypothetical_rejects_request_beyond_exact_range(workspace, capsys):
+    trace, model = workspace
+    rc = main(["hypothetical", "--model", str(model), "--trace", str(trace),
+               "--mem-gb", "1e300"])
+    assert rc == 1
+    assert "req_mem_gb" in capsys.readouterr().err
+
+
 def test_queue_view(workspace, capsys):
     trace, model = workspace
     jobs = read_swf(trace)

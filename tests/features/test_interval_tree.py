@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features.interval_tree import (
-    ChunkedIntervalForest,
-    IntervalTree,
-    naive_stab_batch,
-)
+from repro.features.interval_tree import IntervalTree, naive_stab_batch
 
 
 def _csr_sets(indices, indptr):
@@ -85,44 +81,6 @@ def test_tree_matches_naive(data, queries):
     got = _csr_sets(*tree.stab_batch(ts))
     want = _csr_sets(*naive_stab_batch(starts, ends, ts))
     assert got == want
-
-
-@given(
-    n=st.integers(1, 200),
-    chunk=st.integers(2, 60),
-    seed=st.integers(0, 10_000),
-)
-@settings(max_examples=40, deadline=None)
-def test_forest_matches_naive(n, chunk, seed):
-    rng = np.random.default_rng(seed)
-    starts = np.sort(rng.uniform(0, 100, n))
-    ends = starts + rng.exponential(10, n)
-    empty = rng.random(n) < 0.15
-    ends[empty] = starts[empty]  # some empty intervals
-    overlap = min(chunk - 1, 5)
-    forest = ChunkedIntervalForest(starts, ends, chunk_size=chunk, overlap=overlap)
-    ts = rng.uniform(-5, 115, 25)
-    got = _csr_sets(*forest.stab_batch(ts))
-    want = _csr_sets(*naive_stab_batch(starts, ends, ts))
-    assert got == want
-
-
-def test_forest_chunk_count():
-    f = ChunkedIntervalForest(np.zeros(250), np.ones(250), chunk_size=100, overlap=10)
-    assert f.n_trees == 3
-    assert f.n_intervals == 250
-
-
-def test_forest_dedupes_overlap_region():
-    # All intervals identical: every tree matches its whole chunk, and the
-    # overlap rows appear in two trees; dedup must keep them once.
-    n = 60
-    starts = np.zeros(n)
-    ends = np.full(n, 10.0)
-    f = ChunkedIntervalForest(starts, ends, chunk_size=40, overlap=20)
-    hit = f.stab(5.0)
-    assert len(hit) == n
-    assert len(np.unique(hit)) == n
 
 
 def test_overlap_query():

@@ -68,3 +68,18 @@ def test_own_job_excluded():
     rec["req_mem_gb"] = rec["timelimit_min"] = 1.0
     got = user_past_day(JobSet(rec, ("p0",)))
     assert all(got[k][0] == 0.0 for k in USER_KEYS)
+
+
+def test_user_alone_in_window_reads_exactly_zero():
+    """A user whose only other job has left the window has no past-day
+    activity: every column is exactly 0.0, not a prefix-sum residue."""
+    rec = np.zeros(2, dtype=JOB_DTYPE)
+    rec["job_id"] = [0, 1]
+    rec["submit_time"] = rec["eligible_time"] = [0.0, 2 * PAST_DAY_S]
+    rec["start_time"] = rec["end_time"] = rec["eligible_time"]
+    rec["req_cpus"] = rec["req_nodes"] = 1
+    rec["req_mem_gb"] = [0.1, 0.2]
+    rec["timelimit_min"] = [0.1, 0.2]
+    got = user_past_day(JobSet(rec, ("p0",)))
+    for key in USER_KEYS:
+        assert got[key][1] == 0.0, (key, got[key][1])

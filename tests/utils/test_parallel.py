@@ -1,4 +1,4 @@
-"""Parallel helpers: ordering, chunking, overlap windows, error labelling."""
+"""Parallel helpers: ordering, chunking, error labelling."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.utils.parallel import (
     ParallelWorkerError,
     chunk_indices,
     effective_n_jobs,
-    overlapping_chunks,
     parallel_map,
 )
 
@@ -83,28 +82,3 @@ def test_chunk_indices_invalid():
     with pytest.raises(ValueError):
         chunk_indices(10, 0)
 
-
-def test_overlapping_chunks_paper_scheme():
-    wins = overlapping_chunks(250_000, 100_000, 10_000)
-    assert wins[0] == (0, 100_000)
-    assert wins[1] == (90_000, 190_000)
-    assert wins[-1][1] == 250_000
-    # Consecutive windows overlap by exactly 10k until the clipped last one.
-    assert wins[0][1] - wins[1][0] == 10_000
-
-
-def test_overlapping_chunks_edges():
-    assert overlapping_chunks(0, 10, 2) == []
-    assert overlapping_chunks(5, 10, 2) == [(0, 5)]
-    with pytest.raises(ValueError):
-        overlapping_chunks(10, 10, 10)
-    with pytest.raises(ValueError):
-        overlapping_chunks(10, 0, 0)
-
-
-def test_overlapping_chunks_cover_everything():
-    wins = overlapping_chunks(1234, 100, 30)
-    covered = np.zeros(1234, dtype=bool)
-    for lo, hi in wins:
-        covered[lo:hi] = True
-    assert covered.all()
