@@ -4,14 +4,14 @@ The serving contract (README "Serving", DESIGN.md §10), probed in the two
 regimes that matter:
 
 - **saturated** — the pending queue never empties, so every batch fills
-  to ``max_batch`` without touching the coalescing window.  This is the
-  regime micro-batching exists for, and here it must sustain at least
-  :data:`MIN_SPEEDUP`× the single-request (``max_batch=1``) throughput.
-- **closed loop** — N clients each submit-then-wait, so the window *is*
-  exercised (a batch closes when all in-flight requests joined or the
-  window expires).  Here the p99 request latency may exceed the
-  single-request p99 by at most ``max_wait``: the only latency batching
-  is allowed to add is the wait for company.
+  to ``max_batch``.  This is the regime micro-batching exists for, and
+  here it must sustain at least :data:`MIN_SPEEDUP`× the single-request
+  (``max_batch=1``) throughput.
+- **closed loop** — N clients each submit-then-wait.  The batcher is
+  work-conserving (no timed wait for company), so a batch is whatever
+  queued during the previous model call.  Batching adds no wait, so the
+  p99 request latency may exceed the single-request p99 by at most
+  :data:`P99_JITTER_S`, an allowance for scheduling jitter.
 
 The probe drives the :class:`~repro.serve.batcher.MicroBatcher` through
 the same predict closure the HTTP layer uses, with a production-shaped
@@ -47,13 +47,13 @@ MIN_SPEEDUP = 3.0
 SATURATED_REQUESTS = 4096
 MAX_BATCH = 32
 
-#: Closed-loop knobs: the batch cap matches the offered concurrency — a
-#: larger cap could never fill and every batch would wait out the whole
-#: window — and the window is short enough that a straggler costs little.
+#: Closed-loop knobs: the batch cap matches the offered concurrency.
 N_THREADS = 8
 PER_THREAD = 250
 LOOP_BATCH = N_THREADS
-MAX_WAIT_S = 0.002
+#: how far the batched closed-loop p99 may sit above the single-request
+#: p99: thread-scheduling jitter, not a batching wait
+P99_JITTER_S = 0.002
 
 
 def _net(rng, hidden: int) -> Sequential:
@@ -144,32 +144,29 @@ def test_a14_batching_throughput_and_latency(benchmark):
 
     predict_fn(rows[:MAX_BATCH])  # warm BLAS/import paths outside timing
 
-    def batcher(max_batch: int, max_wait_s: float) -> MicroBatcher:
+    def batcher(max_batch: int) -> MicroBatcher:
         return MicroBatcher(
             predict_fn,
             n_features=N_FEATURES,
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             queue_depth=SATURATED_REQUESTS,
         )
 
-    def measure(saturated_batch: int, loop_batch: int, max_wait_s: float):
-        b = batcher(saturated_batch, max_wait_s)
+    def measure(saturated_batch: int, loop_batch: int):
+        b = batcher(saturated_batch)
         try:
             wall = _saturated_wall(b, rows)
         finally:
             b.close()
-        b = batcher(loop_batch, max_wait_s)
+        b = batcher(loop_batch)
         try:
             latencies = _closed_loop(b, rows)
         finally:
             b.close()
         return wall, latencies
 
-    wall_1, lat_1 = measure(1, 1, max_wait_s=0.0)
-    wall_b, lat_b = once(
-        benchmark, lambda: measure(MAX_BATCH, LOOP_BATCH, MAX_WAIT_S)
-    )
+    wall_1, lat_1 = measure(1, 1)
+    wall_b, lat_b = once(benchmark, lambda: measure(MAX_BATCH, LOOP_BATCH))
 
     rps_1 = SATURATED_REQUESTS / wall_1
     rps_b = SATURATED_REQUESTS / wall_b
@@ -202,7 +199,6 @@ def test_a14_batching_throughput_and_latency(benchmark):
     )
 
     assert speedup >= MIN_SPEEDUP, (rps_1, rps_b)
-    # Batching may only add its coalescing window on top of the
-    # single-request tail — under concurrent load it usually *removes*
-    # queueing delay, so the added p99 is typically negative.
-    assert added_p99 <= MAX_WAIT_S, (p99_1, p99_b)
+    # Batching adds no wait of its own — under concurrent load it
+    # *removes* queueing delay, so the added p99 is typically negative.
+    assert added_p99 <= P99_JITTER_S, (p99_1, p99_b)

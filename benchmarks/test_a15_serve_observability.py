@@ -9,7 +9,7 @@ the same path with no audit trail and no event sink, and under
 
 The probe drives :meth:`PredictionService.handle_predict` directly —
 request parsing, span, batcher round-trip, audit append — with a
-zero-weight model and ``max_wait_ms=0``, so the measured time is
+zero-weight model, so the measured time is
 dominated by the serving machinery the observability rides on, not by
 model arithmetic or socket overhead.  Medians over several repetitions,
 with an absolute slack so sub-millisecond jitter cannot fail the ratio.
@@ -78,7 +78,7 @@ def _service(audit: AuditTrail | None = None) -> PredictionService:
     )
     return PredictionService(
         loaded,
-        ServeConfig(max_batch=8, max_wait_ms=0.0, request_timeout_s=30.0),
+        ServeConfig(max_batch=8, request_timeout_s=30.0),
         audit=audit,
     )
 

@@ -186,10 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows coalesced into one model call",
     )
     se.add_argument(
-        "--max-wait-ms", type=float, default=5.0,
-        help="how long a batch waits for more requests once one arrived",
-    )
-    se.add_argument(
         "--queue-depth", type=int, default=128,
         help="pending-request bound; beyond it requests get 503 + Retry-After",
     )
@@ -482,7 +478,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_depth=args.queue_depth,
         reload_interval_s=args.reload_interval,
     )

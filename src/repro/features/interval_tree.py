@@ -54,18 +54,11 @@ class IntervalTree:
     Parameters
     ----------
     starts, ends:
-        Parallel 1-D arrays defining half-open intervals ``[start, end)``.
-    ids:
-        Optional external identifiers returned by queries; defaults to the
-        positional index ``0..n-1``.
+        Parallel 1-D arrays defining half-open intervals ``[start, end)``;
+        queries return positional indices into them.
     """
 
-    def __init__(
-        self,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        ids: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, starts: np.ndarray, ends: np.ndarray) -> None:
         starts = np.ascontiguousarray(starts, dtype=np.float64)
         ends = np.ascontiguousarray(ends, dtype=np.float64)
         if starts.ndim != 1 or starts.shape != ends.shape:
@@ -73,15 +66,8 @@ class IntervalTree:
                 f"starts/ends must be equal-length 1-D arrays, got "
                 f"{starts.shape} and {ends.shape}"
             )
-        if ids is None:
-            ids = np.arange(len(starts), dtype=np.int64)
-        else:
-            ids = np.ascontiguousarray(ids, dtype=np.int64)
-            if ids.shape != starts.shape:
-                raise ValueError("ids must parallel starts/ends")
         self.starts = starts
         self.ends = ends
-        self.ids = ids
         # Drop empty intervals up front: they can never match a stab.
         live = np.flatnonzero(ends > starts)
         self.n_intervals = len(starts)
@@ -218,66 +204,6 @@ class IntervalTree:
         np.add.at(indptr, qs + 1, 1)
         np.cumsum(indptr, out=indptr)
         return iv, indptr
-
-    def stab_ids_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`stab_batch` but returns external ``ids``."""
-        iv, indptr = self.stab_batch(ts)
-        return self.ids[iv], indptr
-
-    def overlap(self, lo: float, hi: float) -> np.ndarray:
-        """Positional indices of intervals overlapping ``[lo, hi)``.
-
-        An interval ``[s, e)`` overlaps iff ``s < hi`` and ``e > lo``.
-        """
-        if hi <= lo or self._root is None:
-            return np.zeros(0, dtype=np.intp)
-        mask = (self.starts < hi) & (self.ends > lo) & (self.ends > self.starts)
-        return np.flatnonzero(mask)
-
-    def overlap_batch(
-        self, los: np.ndarray, his: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched window-overlap query in CSR layout.
-
-        A window ``[lo, hi)`` overlaps interval ``[s, e)`` iff the interval
-        stabs at ``lo`` **or** starts inside ``[lo, hi)`` — so the batched
-        stab machinery plus one ``searchsorted`` over the start-sorted
-        interval list answers every window without O(n·m) work.
-        """
-        los = np.ascontiguousarray(los, dtype=np.float64)
-        his = np.ascontiguousarray(his, dtype=np.float64)
-        if los.shape != his.shape or los.ndim != 1:
-            raise ValueError("los/his must be equal-length 1-D arrays")
-        m = len(los)
-        stab_iv, stab_ptr = self.stab_batch(los)
-        live = self.ends > self.starts
-        order = np.argsort(self.starts, kind="stable")
-        order = order[live[order]]
-        starts_sorted = self.starts[order]
-        pair_q: list[np.ndarray] = []
-        pair_i: list[np.ndarray] = []
-        for k in range(m):
-            if his[k] <= los[k]:
-                continue  # empty window overlaps nothing
-            hits = set(stab_iv[stab_ptr[k] : stab_ptr[k + 1]].tolist())
-            lo_pos = np.searchsorted(starts_sorted, los[k], side="left")
-            hi_pos = np.searchsorted(starts_sorted, his[k], side="left")
-            hits.update(order[lo_pos:hi_pos].tolist())
-            if hits:
-                arr = np.fromiter(hits, dtype=np.int64)
-                pair_q.append(np.full(len(arr), k, dtype=np.intp))
-                pair_i.append(arr)
-        if pair_q:
-            qs = np.concatenate(pair_q)
-            iv = np.concatenate(pair_i)
-        else:
-            qs = np.zeros(0, dtype=np.intp)
-            iv = np.zeros(0, dtype=np.int64)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.add.at(indptr, qs + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        order2 = np.argsort(qs, kind="stable")
-        return iv[order2], indptr
 
     @property
     def depth(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.utils.validation import check_2d, check_fitted
 
@@ -146,6 +145,10 @@ class BoxCoxScaler:
         self.shifts_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "BoxCoxScaler":
+        # Deferred: importing scipy.stats costs ~0.5 s, and only the
+        # scaling ablation fits a Box-Cox scaler.
+        from scipy import stats as sps
+
         X = check_2d(X)
         n_features = X.shape[1]
         self.lambdas_ = np.zeros(n_features)

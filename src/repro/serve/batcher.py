@@ -3,10 +3,11 @@
 Single-request serving wastes the NN's batch throughput — a forward pass
 over 32 rows costs barely more than over one (the PR-4 allocation-free
 path amortises its fixed per-call work across rows).  The batcher owns a
-bounded queue of pending requests and one worker thread that drains it:
-the first request opens a batch, further arrivals join until either
-``max_batch`` rows are collected or ``max_wait`` elapses, then the whole
-block goes through ``predict_fn`` in one call.
+bounded queue of pending requests and one worker thread that drains it.
+The worker is work-conserving: it never waits for company.  A batch is
+whatever is queued when the worker comes free (up to ``max_batch``
+rows), so an idle server answers a lone request at once, and under load
+the requests that arrived during one model call form the next batch.
 
 Concurrency contract, relied on by the serve test suite:
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,7 +113,6 @@ class MicroBatcher:
         predict_fn: Callable[[np.ndarray], Sequence[object]],
         n_features: int,
         max_batch: int = 32,
-        max_wait_s: float = 0.005,
         queue_depth: int = 128,
     ) -> None:
         if n_features < 1:
@@ -124,7 +124,6 @@ class MicroBatcher:
         self.predict_fn = predict_fn
         self.n_features = n_features
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         self.queue_depth = queue_depth
         self._queue: deque[BatchTicket] = deque()
         self._cond = threading.Condition()
@@ -145,11 +144,6 @@ class MicroBatcher:
         )
         self._queue_depth_gauge = reg.gauge(
             "serve_queue_depth", help="requests waiting for a batch slot"
-        )
-        self._batch_wait = reg.histogram(
-            "serve_batch_wait_seconds",
-            help="time the first request of each batch waited for company",
-            buckets=(0.0005, 0.001, 0.002, 0.005, 0.01, 0.025, 0.05, 0.1),
         )
         self._queue_wait = reg.histogram(
             "serve_queue_wait_seconds",
@@ -206,33 +200,24 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------ #
     def _collect(self) -> list[BatchTicket] | None:
-        """Block for the first ticket, then gather until full or deadline."""
+        """Block for the first ticket, then take what is already queued
+        (up to ``max_batch``) and return without waiting for more."""
         with self._cond:
             while not self._queue:
                 if self._closed:
                     return None
                 self._cond.wait()
-            batch = [self._queue.popleft()]
-            deadline = monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    continue
-                remaining = deadline - monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(remaining)
+            n = min(len(self._queue), self.max_batch)
+            batch = [self._queue.popleft() for _ in range(n)]
             self._queue_depth_gauge.set(float(len(self._queue)))
             return batch
 
     def _run(self) -> None:
         while True:
-            t0 = perf_counter()
             batch = self._collect()
             if batch is None:
                 return
             opened = perf_counter()
-            self._batch_wait.observe(opened - t0)
             n = len(batch)
             rows = self._workspace[:n]
             context = None

@@ -1,9 +1,8 @@
 """Serving knobs, one dataclass.
 
 Every number here is a contract the tests pin down: ``max_batch`` caps
-the rows per NN pass, ``max_wait_ms`` bounds how long the first request
-in a batch waits for company, ``queue_depth`` is the admission-control
-line beyond which requests are shed with 503 + ``Retry-After``.
+the rows per NN pass, ``queue_depth`` is the admission-control line
+beyond which requests are shed with 503 + ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ class ServeConfig:
     port: int = 8080
     #: max rows coalesced into one model call
     max_batch: int = 32
-    #: how long the batch collector waits for more rows once one arrived
-    max_wait_ms: float = 5.0
     #: pending-request bound; submissions beyond it are shed (503)
     queue_depth: int = 128
     #: registry poll interval for hot reload
@@ -35,15 +32,9 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.reload_interval_s <= 0:
             raise ValueError("reload_interval_s must be positive")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive")
-
-    @property
-    def max_wait_s(self) -> float:
-        return self.max_wait_ms / 1000.0

@@ -15,6 +15,11 @@ echoes it in the JSON payload too.  Access logging is a structured
 ``BaseHTTPRequestHandler.log_message`` stderr line is silenced — the
 event stream is the single source, and it carries the request id).
 
+Each response (status line, headers and body) leaves in one write on a
+``TCP_NODELAY`` socket.  Split into two sends on a Nagle socket, the body
+of a keep-alive response would wait for the client's delayed ACK (~40 ms
+on Linux) and stall every request queued behind it on the connection.
+
 ``ThreadingHTTPServer`` gives a thread per connection; every worker
 funnels into the single batcher, which is where the real concurrency
 control lives.  ``start_server`` binds (port 0 = ephemeral, used by the
@@ -79,6 +84,11 @@ class TroutHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: TroutHTTPServer
+    # One write per response: ``wfile`` buffers the status line, headers
+    # and body; ``_send``/``_send_text`` flush it, and the stock
+    # ``send_error`` paths are flushed by ``handle_one_request``/``finish``.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     def _request_id(self) -> str:
@@ -103,6 +113,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _send_text(
         self, route: str, status: int, text: str, request_id: str
@@ -120,6 +131,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("X-Request-Id", request_id)
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _finish(self, method: str, route: str, rid: str, t0: float) -> None:
         seconds = perf_counter() - t0
@@ -174,9 +186,15 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError:
                 length = -1
             if length < 0 or length > MAX_BODY_BYTES:
+                # The unread body would parse as the next request, so
+                # the connection closes (send_header sees the header).
                 self._send(
                     "/predict",
-                    ServeResponse(400, {"error": "bad Content-Length"}),
+                    ServeResponse(
+                        400,
+                        {"error": "bad Content-Length"},
+                        {"Connection": "close"},
+                    ),
                     rid,
                 )
                 return

@@ -105,7 +105,6 @@ class PredictionService:
             self._predict_fn_for(loaded),
             n_features=loaded.model.classifier.n_features,
             max_batch=self.config.max_batch,
-            max_wait_s=self.config.max_wait_s,
             queue_depth=self.config.queue_depth,
         )
         self._stop = threading.Event()

@@ -44,18 +44,9 @@ def test_identical_intervals():
     assert len(t.stab(4.0)) == 0
 
 
-def test_external_ids():
-    ids = np.array([100, 200, 300])
-    t = IntervalTree(np.array([0.0, 1.0, 2.0]), np.array([10.0, 2.0, 3.0]), ids=ids)
-    got, indptr = t.stab_ids_batch(np.array([1.5]))
-    assert set(got[indptr[0] : indptr[1]].tolist()) == {100, 200}
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         IntervalTree(np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        IntervalTree(np.zeros(2), np.zeros(2), ids=np.zeros(3, dtype=np.int64))
     t = IntervalTree(np.zeros(2), np.ones(2))
     with pytest.raises(ValueError):
         t.stab_batch(np.zeros((2, 2)))
@@ -81,43 +72,6 @@ def test_tree_matches_naive(data, queries):
     got = _csr_sets(*tree.stab_batch(ts))
     want = _csr_sets(*naive_stab_batch(starts, ends, ts))
     assert got == want
-
-
-def test_overlap_query():
-    t = IntervalTree(np.array([0.0, 5.0, 10.0]), np.array([4.0, 9.0, 14.0]))
-    assert set(t.overlap(3.0, 6.0).tolist()) == {0, 1}
-    assert set(t.overlap(4.0, 5.0).tolist()) == set()
-    assert len(t.overlap(6.0, 6.0)) == 0  # empty query window
-
-
-@given(
-    n=st.integers(1, 80),
-    m=st.integers(1, 20),
-    seed=st.integers(0, 5000),
-)
-@settings(max_examples=40, deadline=None)
-def test_overlap_batch_matches_bruteforce(n, m, seed):
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(0, 100, n)
-    ends = starts + rng.exponential(10, n)
-    degenerate = rng.random(n) < 0.1
-    ends[degenerate] = starts[degenerate]  # empty intervals never overlap
-    tree = IntervalTree(starts, ends)
-    los = rng.uniform(-10, 110, m)
-    his = los + rng.exponential(15, m) * (rng.random(m) < 0.9)  # some empty
-    iv, ptr = tree.overlap_batch(los, his)
-    got = _csr_sets(iv, ptr)
-    want = []
-    for lo, hi in zip(los, his):
-        mask = (starts < hi) & (ends > lo) & (ends > starts) & (hi > lo)
-        want.append(frozenset(np.flatnonzero(mask).tolist()))
-    assert got == want
-
-
-def test_overlap_batch_validation():
-    t = IntervalTree(np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        t.overlap_batch(np.zeros(3), np.zeros(2))
 
 
 def test_depth_logarithmic():

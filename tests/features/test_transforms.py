@@ -1,5 +1,8 @@
 """Scaling transforms: round trips, invariants, error paths."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,3 +116,19 @@ def test_identity_transform():
     t = IdentityTransform()
     np.testing.assert_array_equal(t.fit_transform(X), X)
     np.testing.assert_array_equal(t.inverse_transform(X), X)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    """``scipy.stats`` (~0.5 s to import) loads only when a Box-Cox scaler
+    is fitted, so every ``trout`` start, ``trout serve`` included, skips
+    it."""
+    code = (
+        "import sys\n"
+        "import repro.cli.main\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+        "from repro.features.transforms import BoxCoxScaler\n"
+        "import numpy as np\n"
+        "BoxCoxScaler().fit(np.arange(1.0, 9.0).reshape(4, 2))\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

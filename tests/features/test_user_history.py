@@ -34,7 +34,7 @@ def _brute(jobs, window):
         for i in range(n):
             if i == j or rec["user_id"][i] != rec["user_id"][j]:
                 continue
-            if t - window <= rec["submit_time"][i] < t:
+            if t - window <= rec["submit_time"][i] <= t:
                 out["user_jobs_past_day"][j] += 1
                 out["user_cpus_past_day"][j] += rec["req_cpus"][i]
                 out["user_mem_past_day"][j] += rec["req_mem_gb"][i]
@@ -50,6 +50,28 @@ def test_matches_bruteforce(seed):
     want = _brute(jobs, PAST_DAY_S)
     for key in USER_KEYS:
         np.testing.assert_allclose(got[key], want[key], err_msg=key, atol=1e-6)
+
+
+def test_submission_at_the_eligibility_instant_counts():
+    """The window is closed at ``t``: a job submitted at the very instant
+    another job of the same user becomes eligible is in its past day."""
+    rec = np.zeros(2, dtype=JOB_DTYPE)
+    rec["job_id"] = [0, 1]
+    rec["submit_time"] = [0.0, 100.0]
+    rec["eligible_time"] = [100.0, 100.0]
+    rec["start_time"] = [101.0, 101.0]
+    rec["end_time"] = [102.0, 102.0]
+    rec["req_cpus"] = [4, 8]
+    rec["req_mem_gb"] = [2.0, 16.0]
+    rec["req_nodes"] = [1, 2]
+    rec["timelimit_min"] = [10, 60]
+    jobs = JobSet(rec, ("p0",))
+    got = user_past_day(jobs)
+    want = _brute(jobs, PAST_DAY_S)
+    for key in USER_KEYS:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    assert list(got["user_jobs_past_day"]) == [1.0, 1.0]
+    assert list(got["user_cpus_past_day"]) == [8.0, 4.0]
 
 
 def test_window_parameter():

@@ -110,6 +110,16 @@ def as_loaded(model: TroutModel, version: int = 1) -> LoadedModel:
     )
 
 
+def golden_loaded() -> LoadedModel:
+    """The golden model as the golden suite serves it."""
+    return LoadedModel(
+        model=golden_model(),
+        version=1,
+        fingerprint="golden",
+        partitions=("shared", "gpu"),
+    )
+
+
 class ServerHarness:
     """A live server on an ephemeral port plus a tiny JSON client."""
 
@@ -158,7 +168,7 @@ def serve_harness():
         registry=None,
         audit=None,
     ) -> ServerHarness:
-        config = config or ServeConfig(max_batch=8, max_wait_ms=2.0)
+        config = config or ServeConfig(max_batch=8)
         service = PredictionService(loaded, config, registry=registry, audit=audit)
         server = start_server(service, "127.0.0.1", 0)
         harness = ServerHarness(service, server)

@@ -51,19 +51,17 @@ def _rows(n: int, rng: np.random.Generator) -> np.ndarray:
 @given(
     n_requests=st.integers(1, 30),
     max_batch=st.integers(1, 8),
-    max_wait_ms=st.floats(0.0, 3.0),
     n_submitters=st.integers(1, 4),
     seed=st.integers(0, 2**16),
 )
 def test_exactly_once_bounded_and_bitwise_equal(
-    n_requests, max_batch, max_wait_ms, n_submitters, seed
+    n_requests, max_batch, n_submitters, seed
 ):
     stub = RowWiseStub()
     batcher = MicroBatcher(
         stub,
         n_features=N_FEATURES,
         max_batch=max_batch,
-        max_wait_s=max_wait_ms / 1000.0,
         queue_depth=n_requests,
     )
     try:
@@ -109,8 +107,7 @@ def test_single_request_batches_match_unbatched_reference(n_requests, seed):
     """max_batch=1 degenerates to pure single predictions — same answers."""
     stub = RowWiseStub()
     batcher = MicroBatcher(
-        stub, n_features=N_FEATURES, max_batch=1, max_wait_s=0.0,
-        queue_depth=n_requests,
+        stub, n_features=N_FEATURES, max_batch=1, queue_depth=n_requests
     )
     try:
         rows = _rows(n_requests, np.random.default_rng(seed))
@@ -138,7 +135,6 @@ def _stalled_batcher(queue_depth: int = 1):
         stalled,
         n_features=N_FEATURES,
         max_batch=1,
-        max_wait_s=0.0,
         queue_depth=queue_depth,
     )
     return batcher, release, entered
@@ -160,6 +156,36 @@ def test_full_queue_sheds_immediately():
         batcher.close()
 
 
+def test_requests_queued_during_a_model_call_form_the_next_batches():
+    """Work conservation: no timed wait, so each batch is exactly what
+    queued while the previous call ran, cut at ``max_batch``."""
+    release = threading.Event()
+    entered = threading.Event()
+    stub = RowWiseStub()
+
+    def gated(rows):
+        entered.set()
+        assert release.wait(30.0)
+        return stub(rows)
+
+    batcher = MicroBatcher(
+        gated, n_features=N_FEATURES, max_batch=4, queue_depth=16
+    )
+    try:
+        rows = _rows(11, np.random.default_rng(0))
+        first = batcher.submit(rows[0])
+        assert entered.wait(10.0)  # the worker holds a batch of one
+        rest = [batcher.submit(row) for row in rows[1:]]
+        release.set()
+        for i, ticket in enumerate([first, *rest]):
+            assert ticket.wait(10.0) == stub.row_result(rows[i])
+    finally:
+        release.set()
+        batcher.close()
+    assert stub.batch_sizes == [1, 4, 4, 2]
+    assert [t.batch_size for t in rest] == [4] * 8 + [2] * 2
+
+
 def test_model_error_propagates_and_batcher_survives():
     calls = {"n": 0}
 
@@ -170,8 +196,7 @@ def test_model_error_propagates_and_batcher_survives():
         return [(float(r[0]), 1.0) for r in rows]
 
     batcher = MicroBatcher(
-        flaky, n_features=N_FEATURES, max_batch=4, max_wait_s=0.0,
-        queue_depth=8,
+        flaky, n_features=N_FEATURES, max_batch=4, queue_depth=8
     )
     try:
         bad = batcher.submit(np.zeros(N_FEATURES))
@@ -188,7 +213,6 @@ def test_wrong_result_count_fails_the_batch():
         lambda rows: [1.0] * (len(rows) + 1),
         n_features=N_FEATURES,
         max_batch=2,
-        max_wait_s=0.0,
         queue_depth=4,
     )
     try:
@@ -221,7 +245,6 @@ def test_submit_rejects_bad_shapes_and_closed_batcher():
         lambda rows: [0.0] * len(rows),
         n_features=N_FEATURES,
         max_batch=2,
-        max_wait_s=0.0,
         queue_depth=4,
     )
     with pytest.raises(ValueError, match="feature row"):

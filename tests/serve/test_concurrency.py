@@ -16,6 +16,8 @@ PR-4's, not the server's.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.serve import ServeConfig
@@ -53,7 +55,7 @@ def test_hammered_predictions_match_single_threaded_reference(serve_harness):
     X, reference = _distinct_rows(model, N_THREADS * PER_THREAD)
     harness = serve_harness(
         as_loaded(model),
-        ServeConfig(max_batch=16, max_wait_ms=2.0, queue_depth=512),
+        ServeConfig(max_batch=16, queue_depth=512),
     )
 
     def one(thread_idx: int, call_idx: int):
@@ -85,13 +87,23 @@ def test_hammered_predictions_match_single_threaded_reference(serve_harness):
 
 
 def test_hammering_actually_batches(serve_harness):
-    """Under concurrent load the server must coalesce, not serialise."""
+    """Under concurrent load the server must coalesce, not serialise:
+    requests that arrive while a model call runs form the next batch.
+    A 5 ms model call holds the worker long enough for the other clients'
+    requests to queue behind it."""
     model = make_random_model(seed=6)
     X, _ = _distinct_rows(model, N_THREADS * PER_THREAD)
     harness = serve_harness(
-        as_loaded(model),
-        ServeConfig(max_batch=32, max_wait_ms=10.0, queue_depth=512),
+        as_loaded(model), ServeConfig(max_batch=32, queue_depth=512)
     )
+    batcher = harness.service.batcher
+    inner = batcher.predict_fn
+
+    def slow(rows):
+        time.sleep(0.005)
+        return inner(rows)
+
+    batcher.predict_fn = slow
 
     def one(thread_idx: int, call_idx: int):
         i = thread_idx * PER_THREAD + call_idx
@@ -115,7 +127,7 @@ def test_mixed_route_traffic_stays_consistent(serve_harness):
     model = make_random_model(seed=7)
     X, reference = _distinct_rows(model, 6 * 10)
     harness = serve_harness(
-        as_loaded(model), ServeConfig(max_batch=8, max_wait_ms=1.0)
+        as_loaded(model), ServeConfig(max_batch=8)
     )
 
     def one(thread_idx: int, call_idx: int):

@@ -22,21 +22,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.config import DEFAULT_HISTOGRAM_SUFFIXES
-from repro.serve import LoadedModel, ServeConfig
+from repro.serve import ServeConfig
 
-from tests.serve.conftest import feature_row, golden_model
+from tests.serve.conftest import feature_row, golden_loaded
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
-
-
-def _loaded() -> LoadedModel:
-    return LoadedModel(
-        model=golden_model(),
-        version=1,
-        fingerprint="golden",
-        partitions=("shared", "gpu"),
-    )
 
 
 def _match(expected, actual, path="$"):
@@ -58,7 +49,7 @@ def _match(expected, actual, path="$"):
 @pytest.fixture
 def golden_server(serve_harness):
     return serve_harness(
-        _loaded(), ServeConfig(max_batch=8, max_wait_ms=2.0)
+        golden_loaded(), ServeConfig(max_batch=8)
     )
 
 
@@ -71,7 +62,7 @@ def test_golden_pair(case_path, serve_harness):
         harness, cleanup = _shedding_server(serve_harness)
     else:
         harness, cleanup = (
-            serve_harness(_loaded(), ServeConfig(max_batch=8, max_wait_ms=2.0)),
+            serve_harness(golden_loaded(), ServeConfig(max_batch=8)),
             lambda: None,
         )
     try:
@@ -91,8 +82,8 @@ def _shedding_server(serve_harness):
     """A server whose single batch slot is stalled and whose queue is full,
     so the next request deterministically sheds with 503."""
     harness = serve_harness(
-        _loaded(),
-        ServeConfig(max_batch=1, max_wait_ms=0.0, queue_depth=1),
+        golden_loaded(),
+        ServeConfig(max_batch=1, queue_depth=1),
     )
     batcher = harness.service.batcher
     inner = batcher.predict_fn
@@ -158,7 +149,7 @@ def test_metrics_output_passes_obs001_grammar(golden_server):
         if m
     )
     assert "serve_requests_total" in families
-    assert "serve_batch_wait_seconds" in families
+    assert "serve_queue_wait_seconds" in families
     for name, kind in families.items():
         assert _SNAKE.match(name), f"{name} is not snake_case"
         if kind == "counter":

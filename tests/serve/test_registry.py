@@ -41,7 +41,7 @@ def registry(tmp_path):
 def _service(registry: ModelRegistry) -> PredictionService:
     return PredictionService(
         registry.load_latest(),
-        ServeConfig(max_batch=4, max_wait_ms=1.0, reload_interval_s=600.0),
+        ServeConfig(max_batch=4, reload_interval_s=600.0),
         registry=registry,
     )
 
@@ -230,7 +230,7 @@ def test_watcher_thread_polls_on_interval(registry):
     publish_model(registry.root, golden_model())
     service = PredictionService(
         registry.load_latest(),
-        ServeConfig(max_batch=4, max_wait_ms=1.0, reload_interval_s=0.05),
+        ServeConfig(max_batch=4, reload_interval_s=0.05),
         registry=registry,
     )
     try:

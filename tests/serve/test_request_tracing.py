@@ -11,6 +11,7 @@ and (4) the prediction audit trail.
 
 import json
 import re
+import threading
 import time
 
 import pytest
@@ -20,7 +21,7 @@ from repro.obs.events import get_event_log
 from repro.serve import ServeConfig
 from repro.serve.audit import AuditTrail, iter_audit_records
 
-from tests.serve.conftest import as_loaded, feature_row, golden_model, hammer
+from tests.serve.conftest import as_loaded, feature_row, golden_model
 
 _MINTED_RE = re.compile(r"^r[0-9a-f]+-[0-9a-f]{8}$")
 
@@ -68,7 +69,7 @@ def test_request_id_threads_through_everything(
     audit = AuditTrail(tmp_path / "audit.jsonl", enabled=True)
     harness = serve_harness(
         as_loaded(golden_model()),
-        ServeConfig(max_batch=4, max_wait_ms=1.0),
+        ServeConfig(max_batch=4),
         audit=audit,
     )
 
@@ -168,28 +169,62 @@ def test_batched_requests_keep_distinct_traces(
     observed, serve_harness
 ):
     """Requests sharing one batch keep their own serve.request spans;
-    each batch span lists every member request id."""
+    each batch span lists every member request id.  The worker is held
+    inside a gated model call while seven more requests queue, so those
+    seven deterministically share the next batch."""
     tracer, _glog = observed
     harness = serve_harness(
-        as_loaded(golden_model()), ServeConfig(max_batch=8, max_wait_ms=20.0)
+        as_loaded(golden_model()), ServeConfig(max_batch=8)
     )
-    ids = hammer(
-        lambda t, c: harness.predict({"features": feature_row(t)})[1][
-            "request_id"
-        ],
-        n_threads=4,
-        per_thread=2,
-    )
-    assert len(set(ids)) == 8
-    roots = tracer.drain()
-    req_spans = _spans_named(roots, "serve.request")
-    assert {s.meta["request_id"] for s in req_spans} >= set(ids)
-    batch_members = [
-        rid
-        for s in _spans_named(roots, "serve.batch")
-        for rid in s.meta.get("request_ids", ())
+    batcher = harness.service.batcher
+    inner = batcher.predict_fn
+    release = threading.Event()
+    entered = threading.Event()
+
+    def gated(rows):
+        entered.set()
+        assert release.wait(30.0)
+        return inner(rows)
+
+    batcher.predict_fn = gated
+    ids: list[str] = []
+    lock = threading.Lock()
+
+    def fire(t: int) -> None:
+        rid = harness.predict({"features": feature_row(t)})[1]["request_id"]
+        with lock:
+            ids.append(rid)
+
+    threads = [
+        threading.Thread(target=fire, args=(t,), daemon=True) for t in range(8)
     ]
-    assert set(batch_members) >= set(ids)
-    # A multi-request batch continues ONE member's trace; every member
-    # still resolves (the ticket), and ids never collide across batches.
-    assert len(batch_members) == len(set(batch_members))
+    try:
+        threads[0].start()
+        assert entered.wait(10.0)
+        for th in threads[1:]:
+            th.start()
+        deadline = time.monotonic() + 30.0
+        while len(batcher._queue) < 7 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert len(batcher._queue) == 7
+    finally:
+        release.set()
+        for th in threads:
+            th.join(timeout=30)
+    assert len(set(ids)) == 8
+
+    roots = tracer.drain()
+    req_spans = {
+        s.meta["request_id"]: s for s in _spans_named(roots, "serve.request")
+    }
+    assert set(req_spans) >= set(ids)
+    batches = _spans_named(roots, "serve.batch")
+    assert sorted(len(s.meta["request_ids"]) for s in batches) == [1, 7]
+    batch_members = [rid for s in batches for rid in s.meta["request_ids"]]
+    assert sorted(batch_members) == sorted(ids)
+    # The shared batch continues ONE member's trace (its oldest); every
+    # other member keeps a trace of its own.
+    (shared,) = [s for s in batches if len(s.meta["request_ids"]) == 7]
+    members = [req_spans[rid] for rid in shared.meta["request_ids"]]
+    assert shared.trace_id == members[0].trace_id
+    assert len({m.trace_id for m in members}) == 7
